@@ -32,13 +32,28 @@ impl CacheConfig {
 }
 
 /// A set-associative cache with true-LRU replacement.
+///
+/// Tags and recency orders live in two flat arrays of `sets × assoc`
+/// entries. The cache also remembers the line of the previous access: that
+/// line is always the most recent way of its set, so accessing it again is
+/// a hit that leaves every recency order as it is, and it skips the set
+/// lookup. The hit/miss sequence is exactly that of true LRU.
 #[derive(Clone, Debug)]
 pub struct Cache {
     cfg: CacheConfig,
-    /// `sets[s][w]` = tag; `u64::MAX` = invalid.
-    sets: Vec<Vec<u64>>,
-    /// LRU order per set: front = most recent.
-    lru: Vec<Vec<u32>>,
+    /// log2 of the line size.
+    line_shift: u32,
+    /// Number of sets.
+    sets: u64,
+    assoc: usize,
+    /// `tags[s * assoc + w]` = tag held by way `w` of set `s`; `u64::MAX`
+    /// = invalid.
+    tags: Vec<u64>,
+    /// `order[s * assoc..][..assoc]` = the ways of set `s`, most recent
+    /// first.
+    order: Vec<u32>,
+    /// Line of the previous access, if any.
+    last_line: Option<u64>,
     hits: u64,
     misses: u64,
 }
@@ -49,12 +64,15 @@ impl Cache {
         assert!(cfg.line_bytes.is_power_of_two(), "line size not a power of two");
         assert!(cfg.assoc >= 1);
         let sets = cfg.num_sets().max(1);
+        let assoc = cfg.assoc as usize;
         Cache {
             cfg,
-            sets: vec![vec![u64::MAX; cfg.assoc as usize]; sets as usize],
-            lru: (0..sets)
-                .map(|_| (0..cfg.assoc).collect())
-                .collect(),
+            line_shift: cfg.line_bytes.trailing_zeros(),
+            sets: sets as u64,
+            assoc,
+            tags: vec![u64::MAX; sets as usize * assoc],
+            order: (0..sets).flat_map(|_| 0..cfg.assoc).collect(),
+            last_line: None,
             hits: 0,
             misses: 0,
         }
@@ -62,20 +80,27 @@ impl Cache {
 
     /// Access `addr`; returns true on hit. Misses allocate (both reads and
     /// writes: write-allocate).
+    #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
-        let line = addr / self.cfg.line_bytes as u64;
-        let set = (line % self.sets.len() as u64) as usize;
-        let tag = line / self.sets.len() as u64;
-        let ways = &mut self.sets[set];
+        let line = addr >> self.line_shift;
+        if self.last_line == Some(line) {
+            self.hits += 1;
+            return true;
+        }
+        self.last_line = Some(line);
+        let (set, tag) = (line % self.sets, line / self.sets);
+        let base = set as usize * self.assoc;
+        let ways = &mut self.tags[base..base + self.assoc];
+        let order = &mut self.order[base..base + self.assoc];
         if let Some(w) = ways.iter().position(|&t| t == tag) {
             self.hits += 1;
-            promote(&mut self.lru[set], w as u32);
+            promote(order, w as u32);
             true
         } else {
             self.misses += 1;
-            let victim = *self.lru[set].last().expect("nonempty LRU") as usize;
-            ways[victim] = tag;
-            promote(&mut self.lru[set], victim as u32);
+            let victim = order[self.assoc - 1];
+            ways[victim as usize] = tag;
+            promote(order, victim);
             false
         }
     }

@@ -21,6 +21,26 @@ cargo run -q -p dra-bench --release --bin fig11 > /dev/null
 cargo run -q -p dra-core --release --bin drac -- report results/telemetry/fig11.json > /dev/null
 echo "telemetry smoke OK"
 
+# Counter gate: the deterministic work counters fig11 just regenerated —
+# everything the simulator counts (`sim.*`), the remap search's
+# `remap.evaluations`, and the encoder's `repair.*` — must equal the
+# committed frame exactly. Timings (`spans_ns`) are never gated.
+python3 - <(git show HEAD:results/telemetry/fig11.json) results/telemetry/fig11.json <<'EOF'
+import json, sys
+def gated(path):
+    counters = json.load(open(path))["counters"]
+    return {k: v for k, v in counters.items()
+            if k.startswith(("sim.", "repair.")) or k == "remap.evaluations"}
+want, got = gated(sys.argv[1]), gated(sys.argv[2])
+diff = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
+for k in diff:
+    print(f"counter gate: {k}: committed {want.get(k)}, regenerated {got.get(k)}")
+if diff:
+    print("counter gate FAILED (commit results/telemetry/fig11.json if the change is intended)")
+    sys.exit(1)
+EOF
+echo "counter gate OK"
+
 # Checker smoke: the symbolic allocation checker over the full benchmark ×
 # approach matrix (`--check` wired through the same pipeline), which must
 # come back with zero violations and a schema-valid telemetry frame.
