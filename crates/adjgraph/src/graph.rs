@@ -147,61 +147,13 @@ impl AdjacencyGraph {
 
     /// Build a per-node incidence index for fast repeated [`AdjacencyIndex::node_cost`]
     /// queries (the inner loop of differential select and coalesce).
-    ///
-    /// The spine comes from a per-thread pool (see
-    /// [`dra_ir::scratch::set_reuse`]); hand a finished index back with
-    /// [`AdjacencyIndex::recycle`] so the next build on the same thread
-    /// reuses its row capacities.
     pub fn index(&self) -> AdjacencyIndex {
-        let mut per_node = index_pool::take(self.n);
+        let mut per_node = vec![Vec::new(); self.n];
         for (&(a, b), &w) in &self.edges {
             per_node[a as usize].push((a, b, w));
             per_node[b as usize].push((a, b, w));
         }
         AdjacencyIndex { per_node }
-    }
-}
-
-/// Per-thread pool of incidence-index spines (`Vec<Vec<(from, to, w)>>`),
-/// governed by the workspace-wide [`dra_ir::scratch::set_reuse`] switch.
-mod index_pool {
-    use std::cell::RefCell;
-
-    type Spine = Vec<Vec<(u32, u32, f64)>>;
-
-    thread_local! {
-        static POOL: RefCell<Vec<Spine>> = const { RefCell::new(Vec::new()) };
-    }
-
-    const CAP: usize = 8;
-
-    pub(super) fn take(n: usize) -> Spine {
-        if !dra_ir::scratch::reuse_enabled() {
-            return vec![Vec::new(); n];
-        }
-        POOL.with(|p| match p.borrow_mut().pop() {
-            Some(mut s) => {
-                s.truncate(n);
-                for row in s.iter_mut() {
-                    row.clear();
-                }
-                s.resize_with(n, Vec::new);
-                s
-            }
-            None => vec![Vec::new(); n],
-        })
-    }
-
-    pub(super) fn put(s: Spine) {
-        if !dra_ir::scratch::reuse_enabled() {
-            return;
-        }
-        POOL.with(|p| {
-            let mut p = p.borrow_mut();
-            if p.len() < CAP {
-                p.push(s);
-            }
-        });
     }
 }
 
@@ -235,13 +187,6 @@ impl AdjacencyIndex {
     /// Number of nodes in the index.
     pub fn num_nodes(&self) -> usize {
         self.per_node.len()
-    }
-
-    /// Return this index's storage to the per-thread pool so the next
-    /// [`AdjacencyGraph::index`] on this thread reuses it. Dropping
-    /// instead is always safe, just slower.
-    pub fn recycle(self) {
-        index_pool::put(self.per_node);
     }
 
     /// Exact cost change of swapping the register numbers assigned to

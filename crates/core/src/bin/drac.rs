@@ -15,10 +15,7 @@
 
 use dra_core::batch::run_lowend_matrix_with_telemetry;
 use dra_core::bench_serve::{run_bench_serve, BenchServeConfig};
-use dra_core::corpus::{
-    corpus_setup, resolve_profile, run_corpus_bench, run_corpus_compile, write_profile,
-    CorpusBenchConfig,
-};
+use dra_core::corpus::{corpus_setup, resolve_profile, run_corpus_compile, write_profile};
 use dra_core::faults::{run_fault_campaign, PipelineFaults};
 use dra_core::lowend::{compile_and_run, compile_program_telemetry, Approach, LowEndSetup};
 use dra_core::profile::compile_and_run_profiled;
@@ -33,7 +30,7 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  drac list\n  drac compile --bench <name> --approach <a> [--emit ir|stats|bits|json] [--profile] [--check] [--remap-strategy <s>]\n  drac run --bench <name> --approach <a> [--profile] [--check] [--remap-strategy <s>]\n  drac sweep --bench <name> [--check] [--remap-strategy <s>]\n  drac check [--bench <name>] [--approach <a>]\n  drac chaos [--seed <n>] [--faults <n>] [--serve]\n  drac serve --addr <unix:PATH|tcp:HOST:PORT> [--workers <n>] [--retries <n>] [--queue-cap <n>] [--telemetry-root <dir>]\n  drac bench-serve [--smoke] [--workers <csv>] [--jobs <n>] [--clients <n>] [--seed <n>] [--bench <name>] [--corpus <profile>] [--approach <a>] [--deadline-ms <n>] [--queue-cap <n>] [--out <path>] [--telemetry-root <dir>]\n  drac profile [--bench <name>] [--name <out-name>] [--builtin <name|all>]   (default: all benchmarks)\n  drac corpus --profile <name|path> --count <n> [--seed <n>] [--threads <n>]\n  drac bench-corpus [--smoke] [--profile <name|path>] [--count <n>] [--seed <n>] [--threads <csv>] [--out <path>]\n  drac report [<telemetry.json>|<dir>]…   (default: results/telemetry)\n\napproaches: baseline remapping select o-spill coalesce adaptive\nremap strategies: greedy anneal lns bb portfolio\nbuiltin profiles: embedded-dsp pointer-chasing deep-cfg call-heavy"
+        "usage:\n  drac list\n  drac compile --bench <name> --approach <a> [--emit ir|stats|bits|json] [--profile] [--check] [--remap-strategy <s>]\n  drac run --bench <name> --approach <a> [--profile] [--check] [--remap-strategy <s>]\n  drac sweep --bench <name> [--check] [--remap-strategy <s>]\n  drac check [--bench <name>] [--approach <a>]\n  drac chaos [--seed <n>] [--faults <n>] [--serve]\n  drac serve --addr <unix:PATH|tcp:HOST:PORT> [--workers <n>] [--retries <n>] [--queue-cap <n>] [--telemetry-root <dir>]\n  drac bench-serve [--smoke] [--workers <csv>] [--jobs <n>] [--clients <n>] [--seed <n>] [--bench <name>] [--corpus <profile>] [--approach <a>] [--deadline-ms <n>] [--queue-cap <n>] [--out <path>] [--telemetry-root <dir>]\n  drac profile [--bench <name>] [--name <out-name>] [--builtin <name|all>]   (default: all benchmarks)\n  drac corpus --profile <name|path> --count <n> [--seed <n>] [--threads <n>]\n  drac report [<telemetry.json>|<dir>]…   (default: results/telemetry)\n\napproaches: baseline remapping select o-spill coalesce adaptive\nremap strategies: greedy anneal lns bb portfolio\nbuiltin profiles: embedded-dsp pointer-chasing deep-cfg call-heavy"
     );
     ExitCode::FAILURE
 }
@@ -245,7 +242,6 @@ fn main() -> ExitCode {
         "bench-serve" => run_bench_serve_cmd(&argv[1..]),
         "profile" => run_profile_cmd(&argv[1..]),
         "corpus" => run_corpus_cmd(&argv[1..]),
-        "bench-corpus" => run_bench_corpus_cmd(&argv[1..]),
         "report" => run_report(&argv[1..]),
         _ => usage(),
     }
@@ -738,99 +734,6 @@ fn run_corpus_cmd(args: &[String]) -> ExitCode {
     } else {
         ExitCode::SUCCESS
     }
-}
-
-/// `drac bench-corpus`: the corpus throughput experiment (jobs/sec per
-/// worker count, scratch arenas off vs on, cache evictions, peak RSS);
-/// `--smoke` shrinks it to CI scale.
-fn run_bench_corpus_cmd(args: &[String]) -> ExitCode {
-    let mut smoke = false;
-    let mut profile_spec = "call-heavy".to_string();
-    let mut count: Option<usize> = None;
-    let mut seed: Option<u64> = None;
-    let mut threads: Option<Vec<usize>> = None;
-    let mut out = PathBuf::from("results/corpus_bench.json");
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--profile" => match it.next() {
-                Some(v) => profile_spec = v.clone(),
-                None => return usage(),
-            },
-            "--count" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => count = Some(v),
-                None => return usage(),
-            },
-            "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => seed = Some(v),
-                None => return usage(),
-            },
-            "--threads" => match it.next() {
-                Some(v) => {
-                    let parsed: Option<Vec<usize>> =
-                        v.split(',').map(|w| w.trim().parse().ok()).collect();
-                    match parsed {
-                        Some(t) if !t.is_empty() => threads = Some(t),
-                        _ => return usage(),
-                    }
-                }
-                None => return usage(),
-            },
-            "--out" => match it.next() {
-                Some(v) => out = PathBuf::from(v),
-                None => return usage(),
-            },
-            _ => return usage(),
-        }
-    }
-    let profile = match resolve_profile(&profile_spec) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("bench-corpus: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut cfg = if smoke {
-        CorpusBenchConfig::smoke(profile)
-    } else {
-        CorpusBenchConfig::standard(profile)
-    };
-    if let Some(c) = count {
-        cfg.count = c;
-    }
-    if let Some(s) = seed {
-        cfg.seed = s;
-    }
-    if let Some(t) = threads {
-        cfg.threads = t;
-    }
-    dra_core::knob::apply_cache_cap(&mut cfg.setup);
-    let report = match run_corpus_bench(&cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("bench-corpus: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    print!("{}", report.render());
-    if let Some(parent) = out.parent() {
-        if let Err(e) = std::fs::create_dir_all(parent) {
-            eprintln!("bench-corpus: {}: {e}", parent.display());
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Err(e) = std::fs::write(&out, report.to_json()) {
-        eprintln!("bench-corpus: {}: {e}", out.display());
-        return ExitCode::FAILURE;
-    }
-    println!("report: {}", out.display());
-    let errors: u64 = report.phases.iter().map(|p| p.errors).sum();
-    if errors > 0 {
-        eprintln!("bench-corpus: {errors} compiles failed");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
 }
 
 /// `drac chaos`: the full benchmark × approach matrix under seeded

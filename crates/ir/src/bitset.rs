@@ -87,18 +87,6 @@ impl BitSet {
         self.words.fill(0);
     }
 
-    /// Re-initialize in place to an empty set over `0..capacity`,
-    /// reusing the word buffer — the scratch-arena primitive: a pooled
-    /// set `reset` to a new capacity is indistinguishable from
-    /// [`BitSet::new`] but skips the allocation when the buffer is
-    /// already large enough.
-    pub fn reset(&mut self, capacity: usize) {
-        let nw = capacity.div_ceil(64);
-        self.words.clear();
-        self.words.resize(nw, 0);
-        self.capacity = capacity;
-    }
-
     /// Overwrite `self` with the contents of `other` without reallocating.
     ///
     /// The scratch-buffer primitive of the worklist dataflow: capacities
@@ -168,7 +156,9 @@ impl BitMatrix {
     }
 
     /// Re-initialize in place to an empty relation over `0..n`, reusing
-    /// the word buffer (see [`BitSet::reset`]).
+    /// the word buffer: a matrix `reset` to a new dimension is
+    /// indistinguishable from [`BitMatrix::new`] but skips the allocation
+    /// when the buffer is already large enough.
     pub fn reset(&mut self, n: usize) {
         let bits = n * (n + 1) / 2;
         self.words.clear();

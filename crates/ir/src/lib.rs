@@ -34,7 +34,6 @@ pub mod loops;
 pub mod parse;
 pub mod pretty;
 pub mod reg;
-pub mod scratch;
 pub mod validate;
 
 pub use bitset::{BitMatrix, BitSet};

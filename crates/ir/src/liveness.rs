@@ -9,7 +9,6 @@ use crate::bitset::BitSet;
 use crate::block::BlockId;
 use crate::function::Function;
 use crate::reg::{PReg, Reg, VReg};
-use crate::scratch;
 
 /// Upper bound on physical register numbers tracked by liveness (the paper
 /// sweeps `RegN` up to 64 in Table 2).
@@ -55,8 +54,8 @@ impl Liveness {
     /// postorder (successors before predecessors, the fastest direction
     /// for a backward problem) and a block re-enters the list only when
     /// one of its successors' `live_in` actually changed. Transfer
-    /// functions run in two reused scratch [`BitSet`]s, so the steady
-    /// state allocates nothing.
+    /// functions run in two reused scratch [`BitSet`]s, so the worklist
+    /// loop itself allocates nothing.
     ///
     /// Values returned by the function (`Ret`) are uses; function
     /// parameters are treated as live-in to the entry block by virtue of
@@ -65,14 +64,12 @@ impl Liveness {
     pub fn compute(f: &Function) -> Liveness {
         let nb = f.num_blocks();
         let ne = f.vreg_count as usize + MAX_PREGS;
-        // Per-block gen (upward-exposed uses) and kill (defs). All bitset
-        // storage comes from the per-thread scratch pool (a fresh
-        // allocation when reuse is off or the pool is dry).
-        let mut gen_b: Vec<BitSet> = scratch::take_set_vec(nb);
-        let mut kill_b: Vec<BitSet> = scratch::take_set_vec(nb);
+        // Per-block gen (upward-exposed uses) and kill (defs).
+        let mut gen_b: Vec<BitSet> = Vec::with_capacity(nb);
+        let mut kill_b: Vec<BitSet> = Vec::with_capacity(nb);
         for b in &f.blocks {
-            let mut g = scratch::take_set(ne);
-            let mut k = scratch::take_set(ne);
+            let mut g = BitSet::new(ne);
+            let mut k = BitSet::new(ne);
             for inst in &b.insts {
                 for u in inst.uses() {
                     let e = reg_to_entity(u, f.vreg_count);
@@ -88,24 +85,20 @@ impl Liveness {
             kill_b.push(k);
         }
 
-        let mut live_in = scratch::take_set_vec(nb);
-        let mut live_out = scratch::take_set_vec(nb);
-        for _ in 0..nb {
-            live_in.push(scratch::take_set(ne));
-            live_out.push(scratch::take_set(ne));
-        }
+        let mut live_in = vec![BitSet::new(ne); nb];
+        let mut live_out = vec![BitSet::new(ne); nb];
         // Seed the stack so the first pops come in postorder: pushing the
         // RPO forward means the deepest (last) blocks pop first.
         let rpo = f.reverse_postorder();
         let mut stack: Vec<usize> = rpo.iter().map(|b| b.index()).collect();
-        let mut on_stack = scratch::take_set(nb.max(1));
-        let mut reachable = scratch::take_set(nb.max(1));
+        let mut on_stack = BitSet::new(nb.max(1));
+        let mut reachable = BitSet::new(nb.max(1));
         for &bi in &stack {
             on_stack.insert(bi);
             reachable.insert(bi);
         }
-        let mut out = scratch::take_set(ne);
-        let mut inn = scratch::take_set(ne);
+        let mut out = BitSet::new(ne);
+        let mut inn = BitSet::new(ne);
         while let Some(bi) = stack.pop() {
             on_stack.remove(bi);
             out.clear();
@@ -128,28 +121,12 @@ impl Liveness {
                 }
             }
         }
-        scratch::put_set_vec(gen_b);
-        scratch::put_set_vec(kill_b);
-        scratch::put_set(on_stack);
-        scratch::put_set(reachable);
-        scratch::put_set(out);
-        scratch::put_set(inn);
         Liveness {
             live_in,
             live_out,
             num_entities: ne,
             vreg_count: f.vreg_count,
         }
-    }
-
-    /// Return this result's bitset storage to the per-thread scratch pool.
-    ///
-    /// Call this instead of dropping a `Liveness` in compile hot paths;
-    /// the next [`Liveness::compute`] on the same thread then runs
-    /// allocation-free. Dropping is always safe, just slower.
-    pub fn recycle(self) {
-        scratch::put_set_vec(self.live_in);
-        scratch::put_set_vec(self.live_out);
     }
 
     /// Live set at block entry.
@@ -172,8 +149,7 @@ impl Liveness {
         b: BlockId,
         mut visit: impl FnMut(usize, &BitSet),
     ) {
-        let mut live = scratch::take_set(self.num_entities);
-        live.copy_from(&self.live_out[b.index()]);
+        let mut live = self.live_out[b.index()].clone();
         let insts = &f.blocks[b.index()].insts;
         for (i, inst) in insts.iter().enumerate().rev() {
             visit(i, &live);
@@ -184,7 +160,6 @@ impl Liveness {
                 live.insert(reg_to_entity(u, self.vreg_count));
             }
         }
-        scratch::put_set(live);
     }
 
     /// Maximum number of simultaneously-live *virtual* registers across
@@ -201,7 +176,7 @@ impl Liveness {
     pub fn max_pressure(&self, f: &Function) -> usize {
         let vc = self.vreg_count as usize;
         let mut max = 0;
-        let mut live = scratch::take_set(self.num_entities);
+        let mut live = BitSet::new(self.num_entities);
         for (b, _) in f.iter_blocks() {
             live.copy_from(&self.live_out[b.index()]);
             let mut count = live.iter().filter(|&e| e < vc).count();
@@ -225,18 +200,13 @@ impl Liveness {
                 max = max.max(count);
             }
         }
-        scratch::put_set(live);
         max
     }
 }
 
-/// Compute MAXLIVE of `f` and recycle the analysis storage in one step —
-/// the allocation-free form of `Liveness::compute(f).max_pressure(f)`.
+/// MAXLIVE of `f` in one call: `Liveness::compute(f).max_pressure(f)`.
 pub fn max_pressure_of(f: &Function) -> usize {
-    let l = Liveness::compute(f);
-    let p = l.max_pressure(f);
-    l.recycle();
-    p
+    Liveness::compute(f).max_pressure(f)
 }
 
 #[cfg(test)]

@@ -158,7 +158,7 @@ fn coalesce_allocate_with(
     loop {
         let view = GraphView::of(f, cfg);
         let best = best_coalesce(&view, cfg);
-        view.recycle();
+        view.ig.recycle();
         match best {
             Some((dst, src)) => {
                 commit_coalesce(f, dst, src);
@@ -330,7 +330,6 @@ impl GraphView {
                 }
             }
         }
-        liveness.recycle();
         GraphView {
             ig,
             adj,
@@ -339,14 +338,6 @@ impl GraphView {
             class_vregs,
             moves,
         }
-    }
-
-    /// Return the pooled buffers inside the interference graph and the
-    /// adjacency index to their thread-local arenas. The `adj` BTreeMap
-    /// has no pooled parts and simply drops.
-    fn recycle(self) {
-        self.ig.recycle();
-        self.adj_index.recycle();
     }
 
     /// Non-interfering move pairs, best `limit` by a cheap pre-score

@@ -33,16 +33,6 @@ impl OrderedIndexSet {
         }
     }
 
-    /// Re-initialize in place to an empty set over `0..capacity`, reusing
-    /// the word buffer (the scratch-arena primitive, like
-    /// [`dra_ir::BitSet::reset`]).
-    pub fn reset(&mut self, capacity: usize) {
-        self.words.clear();
-        self.words.resize(capacity.div_ceil(64), 0);
-        self.len = 0;
-        self.cursor = 0;
-    }
-
     /// Number of elements.
     pub fn len(&self) -> usize {
         self.len

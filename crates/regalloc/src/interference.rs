@@ -22,7 +22,7 @@
 //! the full `MAX_PREGS` window, so 2-register functions no longer carry
 //! 64 physical-register nodes.
 
-use dra_ir::bitset::BitMatrix;
+use dra_ir::bitset::{BitMatrix, BitSet};
 use dra_ir::liveness::{reg_to_entity, Liveness};
 use dra_ir::{Function, Inst, PReg, Reg, RegClass};
 
@@ -78,9 +78,8 @@ impl InterferenceGraph {
     ) -> InterferenceGraph {
         let vreg_count = f.vreg_count;
         let n = vreg_count as usize + used_preg_limit(f, call_clobbers);
-        // All backing storage comes from the per-thread arena (fresh
-        // allocations when reuse is off or the pool is dry); see
-        // [`crate::scratch`].
+        // All backing storage comes from the per-thread pool (a fresh
+        // allocation when the pool is dry); see [`crate::scratch`].
         let mut g = InterferenceGraph {
             n,
             vreg_count,
@@ -92,7 +91,7 @@ impl InterferenceGraph {
         };
 
         // Scratch buffers reused across blocks and instructions.
-        let mut live = dra_ir::scratch::take_set(liveness.num_entities);
+        let mut live = BitSet::new(liveness.num_entities);
         let mut defs: Vec<u32> = crate::scratch::take_u32();
         let mut uses: Vec<u32> = crate::scratch::take_u32();
         let mut all_defs: Vec<u32> = crate::scratch::take_u32();
@@ -162,14 +161,13 @@ impl InterferenceGraph {
                 }
             }
         }
-        dra_ir::scratch::put_set(live);
         crate::scratch::put_u32(defs);
         crate::scratch::put_u32(uses);
         crate::scratch::put_u32(all_defs);
         g
     }
 
-    /// Return this graph's backing storage to the per-thread arena.
+    /// Return this graph's backing storage to the per-thread pool.
     ///
     /// Consumers that drop a graph whole (rather than adopting its parts
     /// via [`InterferenceGraph::into_parts`]) should call this in compile

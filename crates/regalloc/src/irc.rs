@@ -247,10 +247,6 @@ pub fn irc_allocate_recorded(
             stats.moves_coalesced = apply_allocation(f, &state, cfg);
             stats.color_nanos += t2.elapsed().as_nanos() as u64;
             state.recycle();
-            if let Some(idx) = adjacency {
-                idx.recycle();
-            }
-            liveness.recycle();
             return Ok((stats, rec));
         }
         let to_spill: Vec<VReg> = (0..state.vreg_count)
@@ -259,10 +255,6 @@ pub fn irc_allocate_recorded(
             .collect();
         stats.spilled_vregs += to_spill.len();
         state.recycle();
-        if let Some(idx) = adjacency {
-            idx.recycle();
-        }
-        liveness.recycle();
         rewrite_spills(f, &to_spill);
         stats.color_nanos += t2.elapsed().as_nanos() as u64;
     }
@@ -367,60 +359,6 @@ enum MoveState {
     /// Popped from the worklist, decision in flight inside `coalesce`
     /// (the old code's "removed from every set" window).
     Pending,
-}
-
-/// Recyclable backing storage for one round's [`IrcState`] — the "IRC
-/// node/move arrays" arena. Buffers whose element types are private to
-/// this module live here; plain `u32`/`f64` vectors go through
-/// [`crate::scratch`]. One arena per thread: `IrcState::new` takes it
-/// whole, `IrcState::recycle` puts it back, so successive rounds (and
-/// successive functions on the same batch worker) reuse the same
-/// capacity. Every field is cleared and re-sized on take, keeping output
-/// bit-identical to fresh allocation.
-#[derive(Default)]
-struct IrcArena {
-    vreg_classes: Vec<RegClass>,
-    edges: Vec<(u32, u32)>,
-    degree: Vec<usize>,
-    node_state: Vec<NodeState>,
-    color: Vec<Option<u8>>,
-    move_state: Vec<MoveState>,
-    merged_moves: Vec<Option<Box<[u32]>>>,
-    alias: Vec<Cell<u32>>,
-    simplify: Option<OrderedIndexSet>,
-    freeze: Option<OrderedIndexSet>,
-    spill: Option<OrderedIndexSet>,
-    wl_moves: Option<OrderedIndexSet>,
-}
-
-thread_local! {
-    static IRC_ARENA: std::cell::RefCell<IrcArena> =
-        std::cell::RefCell::new(IrcArena::default());
-}
-
-fn take_irc_arena() -> IrcArena {
-    if !dra_ir::scratch::reuse_enabled() {
-        return IrcArena::default();
-    }
-    IRC_ARENA.with(|a| std::mem::take(&mut *a.borrow_mut()))
-}
-
-fn put_irc_arena(a: IrcArena) {
-    if !dra_ir::scratch::reuse_enabled() {
-        return;
-    }
-    IRC_ARENA.with(|slot| *slot.borrow_mut() = a);
-}
-
-/// Reuse a pooled [`OrderedIndexSet`] (or build one) at `capacity`.
-fn fresh_oset(slot: Option<OrderedIndexSet>, capacity: usize) -> OrderedIndexSet {
-    match slot {
-        Some(mut s) => {
-            s.reset(capacity);
-            s
-        }
-        None => OrderedIndexSet::new(capacity),
-    }
 }
 
 /// The worklist state of one build/select round.
@@ -533,12 +471,8 @@ impl<'a> IrcState<'a> {
         let vreg_count = ig.vreg_count();
         // Adopt the build's graph wholesale: bit-matrix, adjacency lists,
         // and per-node degrees are already in the shape the worklists need.
-        // Everything else comes from the per-thread arena, fully
-        // re-initialized.
-        let mut ar = take_irc_arena();
         let (adj_bits, mut adj_list, degrees, moves, use_def_weight) = ig.into_parts();
-        let mut edges = std::mem::take(&mut ar.edges);
-        edges.clear();
+        let mut edges = Vec::new();
         for (a, ns) in adj_list.iter().enumerate() {
             for &b in ns {
                 if (a as u32) < b {
@@ -546,21 +480,15 @@ impl<'a> IrcState<'a> {
                 }
             }
         }
-        let mut degree = std::mem::take(&mut ar.degree);
-        degree.clear();
-        degree.extend(degrees.iter().map(|&d| d as usize));
+        let mut degree: Vec<usize> = degrees.iter().map(|&d| d as usize).collect();
         crate::scratch::put_u32(degrees);
         // Precolored entities: the used physical registers. Registers >= k
         // are still precolored (with their own numbers) so that
         // interference with them is honored, but they are not allocatable
         // colors. They carry effectively infinite degree and no adjacency
         // list (never simplified, never walked).
-        let mut color = std::mem::take(&mut ar.color);
-        color.clear();
-        color.resize(n, None);
-        let mut node_state = std::mem::take(&mut ar.node_state);
-        node_state.clear();
-        node_state.resize(n, NodeState::Inactive);
+        let mut color = vec![None; n];
+        let mut node_state = vec![NodeState::Inactive; n];
         for e in vreg_count as usize..n {
             color[e] = Some((e - vreg_count as usize) as u8);
             degree[e] = usize::MAX / 2;
@@ -571,8 +499,7 @@ impl<'a> IrcState<'a> {
         // CSR move lists: one slot per (node, move) incidence, ascending
         // move indices per node (counting sort over `mi`). A self-move
         // (dst == src) takes one slot, like its single set entry did.
-        let mut move_off = crate::scratch::take_u32();
-        move_off.resize(n + 1, 0);
+        let mut move_off = crate::scratch::take_u32_zeroed(n + 1);
         for m in &moves {
             move_off[m.dst as usize + 1] += 1;
             if m.src != m.dst {
@@ -582,8 +509,7 @@ impl<'a> IrcState<'a> {
         for i in 0..n {
             move_off[i + 1] += move_off[i];
         }
-        let mut move_dat = crate::scratch::take_u32();
-        move_dat.resize(move_off[n] as usize, 0);
+        let mut move_dat = crate::scratch::take_u32_zeroed(move_off[n] as usize);
         let mut cursor = crate::scratch::take_u32();
         cursor.extend_from_slice(&move_off[..n]);
         for (mi, m) in moves.iter().enumerate() {
@@ -595,54 +521,37 @@ impl<'a> IrcState<'a> {
             }
         }
         crate::scratch::put_u32(cursor);
-        let mut worklist_moves = fresh_oset(ar.wl_moves.take(), moves.len());
+        let mut worklist_moves = OrderedIndexSet::new(moves.len());
         for mi in 0..moves.len() {
             worklist_moves.insert(mi as u32);
         }
-
-        let mut vreg_classes = std::mem::take(&mut ar.vreg_classes);
-        vreg_classes.clear();
-        vreg_classes.extend_from_slice(&f.vreg_classes);
-        let mut move_state = std::mem::take(&mut ar.move_state);
-        move_state.clear();
-        move_state.resize(moves.len(), MoveState::Worklist);
-        let mut merged_moves = std::mem::take(&mut ar.merged_moves);
-        merged_moves.clear();
-        merged_moves.resize(n, None);
-        let mut alias = std::mem::take(&mut ar.alias);
-        alias.clear();
-        alias.extend((0..n as u32).map(Cell::new));
-        let mut mark = crate::scratch::take_u32();
-        mark.resize(n, 0);
-        let mut select_stack = crate::scratch::take_u32();
-        select_stack.clear();
 
         let mut st = IrcState {
             k: cfg.k as usize,
             strategy: cfg.strategy,
             params: cfg.params,
             vreg_count,
-            vreg_classes,
+            vreg_classes: f.vreg_classes.clone(),
             adj_bits,
             adj_list,
             edges,
             degree,
             spill_weight: use_def_weight,
             node_state,
-            simplify_worklist: fresh_oset(ar.simplify.take(), vreg_count as usize),
-            freeze_worklist: fresh_oset(ar.freeze.take(), vreg_count as usize),
-            spill_worklist: fresh_oset(ar.spill.take(), vreg_count as usize),
-            select_stack,
+            simplify_worklist: OrderedIndexSet::new(vreg_count as usize),
+            freeze_worklist: OrderedIndexSet::new(vreg_count as usize),
+            spill_worklist: OrderedIndexSet::new(vreg_count as usize),
+            select_stack: crate::scratch::take_u32(),
             spilled_count: 0,
-            move_state,
+            move_state: vec![MoveState::Worklist; moves.len()],
             moves,
             move_off,
             move_dat,
-            merged_moves,
+            merged_moves: vec![None; n],
             worklist_moves,
-            alias,
+            alias: (0..n as u32).map(Cell::new).collect(),
             color,
-            mark,
+            mark: crate::scratch::take_u32_zeroed(n),
             mark_epoch: 0,
             temp_watermark: u32::MAX,
             coverage: Vec::new(),
@@ -680,11 +589,9 @@ impl<'a> IrcState<'a> {
         st
     }
 
-    /// Return every backing buffer to its pool: the graph parts to
-    /// [`crate::scratch`], the typed node/move arrays to the per-thread
-    /// [`IrcArena`]. Called at the end of each round; the next round (or
-    /// the next function on this worker) then builds its state
-    /// allocation-free.
+    /// Return the graph and `u32`/`f64` buffers to [`crate::scratch`].
+    /// Called at the end of each round, so the next round (or the next
+    /// function on this worker) rebuilds its graph in recycled capacity.
     fn recycle(self) {
         crate::scratch::put_matrix(self.adj_bits);
         crate::scratch::put_adj(self.adj_list);
@@ -695,20 +602,6 @@ impl<'a> IrcState<'a> {
         crate::scratch::put_u32(self.mark);
         crate::scratch::put_u32(self.select_stack);
         crate::scratch::put_u32(self.coverage);
-        put_irc_arena(IrcArena {
-            vreg_classes: self.vreg_classes,
-            edges: self.edges,
-            degree: self.degree,
-            node_state: self.node_state,
-            color: self.color,
-            move_state: self.move_state,
-            merged_moves: self.merged_moves,
-            alias: self.alias,
-            simplify: Some(self.simplify_worklist),
-            freeze: Some(self.freeze_worklist),
-            spill: Some(self.spill_worklist),
-            wl_moves: Some(self.worklist_moves),
-        });
     }
 
     /// Is `e` a precolored (physical-register) entity?

@@ -106,7 +106,6 @@ pub fn reduce_pressure(
                 }
             });
         }
-        liveness.recycle();
 
         if max_pressure <= limit {
             break;

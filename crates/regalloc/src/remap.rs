@@ -369,7 +369,6 @@ pub fn remap_function(f: &mut Function, cfg: &RemapConfig) -> RemapStats {
         portfolio_multistart(&g, &idx, cfg, cfg.strategy.racers())
     };
 
-    idx.recycle();
     // Keep the identity if the search could not improve on it.
     let improved = outcome.cost < cost_before;
     if improved {

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verification: release build, full test suite, one-shot smokes of
+# Tier-1 verification: release build, a build of the perfbench benchmark,
+# full test suite, one-shot smokes of
 # the remap_scaling, remap_ablation, and irc benches (criterion's `--test` mode runs
 # each bench body exactly once, so regressions in the bench harnesses,
 # the incremental-search plumbing, or the interference-graph
@@ -10,6 +11,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
+# perfbench (the benchmark BENCHMARK.json runs) calls public workspace
+# APIs; a change that breaks its build must fail here, not in the
+# benchmark run. Build only: its own test suite is not part of tier-1.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 cargo test -q
 cargo bench --bench remap_scaling -- --test
 cargo bench --bench remap_ablation -- --test
@@ -21,31 +26,44 @@ cargo run -q -p dra-bench --release --bin fig11 > /dev/null
 cargo run -q -p dra-core --release --bin drac -- report results/telemetry/fig11.json > /dev/null
 echo "telemetry smoke OK"
 
-# Counter gate: the deterministic work counters fig11 just regenerated —
-# everything the simulator counts (`sim.*`), the remap search's
-# `remap.evaluations`, and the encoder's `repair.*` — must equal the
-# committed frame exactly. Timings (`spans_ns`) are never gated.
-python3 - <(git show HEAD:results/telemetry/fig11.json) results/telemetry/fig11.json <<'EOF'
+# Counter gate: deterministic work counters in a regenerated telemetry
+# frame must equal the committed frame (`git show HEAD:<frame>`) exactly.
+# Arguments after the frame name the gated keys: one ending in "." is a
+# prefix, any other is an exact key. Timings (`spans_ns`) are never gated.
+counter_gate() {
+    local frame="$1"
+    shift
+    python3 - <(git show "HEAD:$frame") "$frame" "$@" <<'EOF'
 import json, sys
+committed, regenerated, *keys = sys.argv[1:]
 def gated(path):
     counters = json.load(open(path))["counters"]
     return {k: v for k, v in counters.items()
-            if k.startswith(("sim.", "repair.")) or k == "remap.evaluations"}
-want, got = gated(sys.argv[1]), gated(sys.argv[2])
+            if any(k.startswith(p) if p.endswith(".") else k == p for p in keys)}
+want, got = gated(committed), gated(regenerated)
 diff = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
 for k in diff:
     print(f"counter gate: {k}: committed {want.get(k)}, regenerated {got.get(k)}")
 if diff:
-    print("counter gate FAILED (commit results/telemetry/fig11.json if the change is intended)")
+    print(f"counter gate FAILED (commit {regenerated} if the change is intended)")
     sys.exit(1)
 EOF
+}
+
+# fig11's counters: everything the simulator counts (`sim.*`), the remap
+# search's `remap.evaluations`, the encoder's `repair.*`, and the
+# allocator's `irc.*` worklist steps and `alloc.*` spill/coalesce/round
+# totals (the counters a buffer-reuse bug in the allocator would move).
+counter_gate results/telemetry/fig11.json sim. repair. remap.evaluations irc. alloc.
 echo "counter gate OK"
 
 # Checker smoke: the symbolic allocation checker over the full benchmark ×
 # approach matrix (`--check` wired through the same pipeline), which must
-# come back with zero violations and a schema-valid telemetry frame.
+# come back with zero violations, a schema-valid telemetry frame, and
+# `checker.*` work counters equal to the committed frame.
 cargo run -q -p dra-core --release --bin drac -- check > /dev/null
 cargo run -q -p dra-core --release --bin drac -- report results/telemetry/checker.json > /dev/null
+counter_gate results/telemetry/checker.json checker.
 echo "checker smoke OK"
 
 # Fault containment: the injection suite end to end, then the decoder

@@ -4,10 +4,11 @@
 //! pipeline citizen: its rendered text parses back, the program
 //! validates, every function allocates cleanly under every `Allocator`
 //! engine and passes the symbolic checker, and the whole corpus compiles
-//! to identical artifacts at any batch thread count and with the scratch
-//! arenas on or off. These are the load-bearing guarantees behind
-//! `drac corpus` / `drac bench-corpus`: a corpus that occasionally emits
-//! an invalid program would poison every throughput number downstream.
+//! to identical artifacts at any batch thread count, and whether a worker's
+//! buffer pool is warm or empty. These are the load-bearing guarantees
+//! behind `drac corpus` and the perfbench corpus workloads: a corpus that
+//! occasionally emits an invalid program would poison every throughput
+//! number downstream.
 
 use dra_adjgraph::DiffParams;
 use dra_core::batch::run_batch;
@@ -80,24 +81,47 @@ proptest! {
 
 /// What one compile produced, in full: the measured quantities plus the
 /// compiled program's rendered text (byte-level equality).
-fn compile_fingerprints(texts: &[String], threads: usize) -> Vec<(u64, u64, usize, String)> {
+type Fingerprint = (u64, u64, usize, String);
+
+fn fingerprint(session: &CompileSession, text: &str) -> Fingerprint {
+    let (run, _) = session
+        .compile_source(text, Approach::Adaptive)
+        .expect("corpus programs compile");
+    (
+        run.cycles,
+        run.code_bits,
+        run.total_insts,
+        run.program.to_string(),
+    )
+}
+
+/// Compile the corpus through the batch driver at `threads` workers.
+fn compile_fingerprints(texts: &[String], threads: usize) -> Vec<Fingerprint> {
     let session = CompileSession::new(corpus_setup());
-    run_batch(texts, threads, |_, text| {
-        let (run, _) = session
-            .compile_source(text, Approach::Adaptive)
-            .expect("corpus programs compile");
-        (
-            run.cycles,
-            run.code_bits,
-            run.total_insts,
-            run.program.to_string(),
-        )
-    })
+    run_batch(texts, threads, |_, text| fingerprint(&session, text))
+}
+
+/// Compile each program on its own newly spawned thread, one thread at a
+/// time, so every compile starts from empty thread-local buffer pools.
+fn compile_fingerprints_on_fresh_threads(texts: &[String]) -> Vec<Fingerprint> {
+    let session = CompileSession::new(corpus_setup());
+    texts
+        .iter()
+        .map(|text| {
+            std::thread::scope(|s| {
+                s.spawn(|| fingerprint(&session, text))
+                    .join()
+                    .expect("fresh-thread compile panicked")
+            })
+        })
+        .collect()
 }
 
 /// `(profile, seed, count)` is the whole identity of a corpus: two
 /// generations are byte-identical, and the compiled artifacts are
-/// byte-identical at 1, 2, and 8 batch threads.
+/// byte-identical at 1, 2, and 8 batch threads, and with every program
+/// compiled on a fresh thread (see
+/// `scratch_arenas_do_not_change_compiled_output`).
 #[test]
 fn corpus_is_byte_identical_at_any_thread_count() {
     let profile = builtin_profile("deep-cfg").unwrap();
@@ -115,22 +139,25 @@ fn corpus_is_byte_identical_at_any_thread_count() {
             "{threads}-thread compile diverged from single-threaded"
         );
     }
+    assert_eq!(
+        compile_fingerprints_on_fresh_threads(&texts),
+        baseline,
+        "compiles from empty buffer pools diverged from one warm thread"
+    );
 }
 
-/// The scratch arenas are a pure allocation optimization: with reuse off
-/// (every buffer freshly allocated) and on (thread-local pools), the
-/// compiled corpus is bit-identical.
+/// The allocator's buffer pool (`dra_regalloc::scratch`) is a pure
+/// allocation optimization. A single-threaded batch compiles every
+/// program on one warm thread that carries buffers from earlier, larger
+/// functions; compiling each program on a fresh thread starts from empty
+/// pools. The two are bit-identical, so no recycled buffer leaks state.
 #[test]
 fn scratch_arenas_do_not_change_compiled_output() {
     let profile = builtin_profile("embedded-dsp").unwrap();
     let corpus = generate_from_profile(&profile, 7, 24).unwrap();
     let texts: Vec<String> = corpus.iter().map(|p| p.to_string()).collect();
 
-    let prev = dra_ir::scratch::reuse_enabled();
-    dra_ir::scratch::set_reuse(false);
-    let off = compile_fingerprints(&texts, 2);
-    dra_ir::scratch::set_reuse(true);
-    let on = compile_fingerprints(&texts, 2);
-    dra_ir::scratch::set_reuse(prev);
-    assert_eq!(off, on, "arena reuse must not change any artifact");
+    let warm = compile_fingerprints(&texts, 1);
+    let fresh = compile_fingerprints_on_fresh_threads(&texts);
+    assert_eq!(fresh, warm, "buffer reuse must not change any artifact");
 }
